@@ -11,6 +11,11 @@
 //! 3. `gc_threads` only reshapes *time* — heap mutations, GC counts and
 //!    promotion behaviour are identical across thread counts.
 //!
+//! The collector variant (PS, G1, Panthera) is one more generated input, so
+//! G1's marking discount, mixed-collection fraction and deferred-copy stash
+//! and Panthera's NVM penalties get the same repeatability and
+//! lane-invariance coverage as PS.
+//!
 //! Lane picks are pure integer arithmetic over previously accumulated unit
 //! costs, so these properties hold by construction; this suite pins them
 //! against regressions (e.g. an accidental `HashMap` iteration or host
@@ -18,7 +23,7 @@
 
 use teraheap_core::{H2Config, Label};
 use teraheap_runtime::obs::{Event, Level};
-use teraheap_runtime::{Handle, Heap, HeapConfig};
+use teraheap_runtime::{GcVariant, Handle, Heap, HeapConfig};
 use teraheap_storage::{DeviceSpec, SharedDevice};
 use teraheap_util::proptest_mini::{
     check, range_u64, range_usize, vec_of, CaseResult, Config, Just, Strategy,
@@ -47,6 +52,14 @@ enum Op {
     TagAndMove(usize, u64),
 }
 
+fn variant_strategy() -> impl Strategy<Value = GcVariant> {
+    prop_oneof![
+        1 => Just(GcVariant::ParallelScavenge),
+        1 => Just(GcVariant::G1 { region_words: 2048 }),
+        1 => Just(GcVariant::Panthera { old_dram_words: 16 << 10, nvm: DeviceSpec::optane_nvm() }),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => range_u64(0..1000).prop_map(Op::Alloc),
@@ -71,8 +84,9 @@ struct RunReport {
     lane_stall_ns: u64,
 }
 
-fn run_program(ops: &[Op], gc_threads: usize) -> RunReport {
+fn run_program(variant: GcVariant, ops: &[Op], gc_threads: usize) -> RunReport {
     let cfg = HeapConfig::builder(4 << 10, 32 << 10)
+        .variant(variant)
         .gc_threads(gc_threads)
         .obs_level(Level::Full)
         .build()
@@ -132,14 +146,14 @@ fn run_program(ops: &[Op], gc_threads: usize) -> RunReport {
 fn lane_accounting_is_deterministic_and_host_independent() {
     check(
         "lane_accounting_is_deterministic_and_host_independent",
-        &vec_of(op_strategy(), 1..60),
+        &(variant_strategy(), vec_of(op_strategy(), 1..60)),
         &Config::with_cases(24),
-        |ops: Vec<Op>| {
+        |(variant, ops): (GcVariant, Vec<Op>)| {
             let mut per_threads: Vec<(usize, RunReport)> = Vec::new();
             for gc_threads in [1usize, 2, 3, 4, 8] {
-                let a = run_program(&ops, gc_threads);
+                let a = run_program(variant, &ops, gc_threads);
                 // Same program, same thread count: bit-identical report.
-                let b = run_program(&ops, gc_threads);
+                let b = run_program(variant, &ops, gc_threads);
                 prop_assert_eq!(&a, &b, "repeat run diverged at gc_threads={}", gc_threads);
                 // A run on a different (racing) host thread must reproduce
                 // the main thread's numbers exactly: simulated time owes
@@ -147,7 +161,7 @@ fn lane_accounting_is_deterministic_and_host_independent() {
                 let spawned = std::thread::scope(|s| {
                     let mut racers = Vec::new();
                     for _ in 0..3 {
-                        racers.push(s.spawn(|| run_program(&ops, gc_threads)));
+                        racers.push(s.spawn(|| run_program(variant, &ops, gc_threads)));
                     }
                     racers
                         .into_iter()
@@ -208,9 +222,9 @@ fn bench_thread_env_does_not_affect_simulated_time() {
             _ => Op::Alloc(i as u64 * 31),
         })
         .collect();
-    let baseline = run_program(&ops, 4);
+    let baseline = run_program(GcVariant::ParallelScavenge, &ops, 4);
     std::env::set_var("TERAHEAP_BENCH_THREADS", "7");
-    let with_env = run_program(&ops, 4);
+    let with_env = run_program(GcVariant::ParallelScavenge, &ops, 4);
     std::env::remove_var("TERAHEAP_BENCH_THREADS");
     assert_eq!(baseline, with_env, "TERAHEAP_BENCH_THREADS leaked into the simulation");
 }
