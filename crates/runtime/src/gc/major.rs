@@ -1,558 +1,15 @@
-//! Major (full-heap) collection: the PS four-phase mark–compact, extended
-//! with TeraHeap's integration (§4):
-//!
-//! * **marking** additionally (1) resets H2 region live bits, (2) marks H1
-//!   objects referenced from H2 as live (via the H2 card table), (3) fences
-//!   scans at H1→H2 references while setting region live bits, (4) computes
-//!   the transitive closures of tagged root key-objects, and (5) frees dead
-//!   H2 regions;
-//! * **pre-compaction** assigns H2 addresses (by label, region-grouped) to
-//!   the move candidates;
-//! * **pointer adjustment** additionally rewrites backward references,
-//!   records new cross-region dependencies and dirties H2 cards for newly
-//!   created backward references;
-//! * **compaction** moves candidates to H2 through 2 MB promotion buffers.
-//!
-//! The G1 variant runs the same semantics but charges a concurrent-marking
-//! discount and garbage-first mixed-collection costs; the Panthera variant
-//! charges NVM penalties for the NVM-resident part of the old generation.
-//!
-//! Each phase is decomposed into schedulable work units (DESIGN.md §11) —
-//! root strips, H2 card chunks, gray packets, per-object-chunk
-//! plan/adjust/compact units — dispatched across `gc_threads` accounting
-//! lanes with one barrier per phase. Execution order is the exact serial
-//! order of the monolithic phases; only the CPU accounting is laned. The
-//! G1 marking discount and mixed-collection fraction apply per lane at the
-//! barrier (`LaneSet` milli scaling), so `gc_threads = 1` reproduces the
-//! serial `floor(total * fraction)` charges bit-identically.
+//! Helpers the major collector's steps share (the engine and its two
+//! drivers live in `gc::incremental`): the dense forwarding table, the mark
+//! push, the bounded closure-tagging step of candidate selection, card
+//! clearing for swept H2 regions, the G1 mixed-collection fraction, and the
+//! uncharged H2 liveness trace behind Figure 10.
 
-use super::schedule::{
-    Scheduler, DOM_H2_CARD, DOM_OBJECT, GRAY_PACKET, H2_CARD_CHUNK, OBJECT_CHUNK, ROOT_STRIP,
-};
 use super::Work;
-use crate::config::{GcVariant, OomError};
+use crate::config::GcVariant;
 use crate::heap::Heap;
 use crate::object;
 use std::collections::HashMap;
 use teraheap_core::{Addr, CardState, Label};
-use teraheap_storage::obs::{CardTableKind, EventKind, GcCause, GcKind, GcPhase, WorkUnitKind};
-use teraheap_storage::Category;
-
-/// Runs a full collection.
-///
-/// # Errors
-///
-/// Returns [`OomError`] when live data does not fit the old generation.
-/// The heap must not be used further after an error.
-pub(crate) fn major_gc(heap: &mut Heap, cause: GcCause) -> Result<(), OomError> {
-    debug_assert!(!heap.in_gc, "re-entrant GC");
-    heap.in_gc = true;
-    let start_ns = heap.clock.total_ns();
-    let old_before = heap.old.used_words();
-    let h2_words_before = heap.h2.as_ref().map(|h| h.words_promoted()).unwrap_or(0);
-    heap.clock.emit(EventKind::GcBegin {
-        gc: GcKind::Major,
-        cause,
-        old_used_words: old_before as u64,
-    });
-    let clock = heap.clock.clone();
-    let mut sched = Scheduler::new(
-        heap.config.gc_threads,
-        heap.config.cost.gc_barrier_sync_ns,
-        heap.check_enabled,
-    );
-
-    // ---------------- Phase 1: marking ------------------------------------
-    let phase_start = heap.clock.total_ns();
-    heap.clock.emit(EventKind::PhaseBegin { phase: GcPhase::Mark });
-    // G1 marks concurrently with the mutator; only a quarter of the traced
-    // CPU shows up as pause/GC time. Applied per lane at the barrier.
-    sched.set_milli(match heap.config.variant {
-        GcVariant::G1 { .. } => 250,
-        _ => 1000,
-    });
-    if let Some(h2) = heap.h2.as_mut() {
-        h2.begin_major_marking();
-    }
-    let mut live: Vec<u64> = Vec::new();
-    let mut stack: Vec<Addr> = Vec::new();
-    // (H2 slot, whether its card had any backward reference) collected for
-    // the adjustment phase.
-    let mut backward_slots: Vec<Addr> = Vec::new();
-    let mut scanned_cards: Vec<(usize, bool)> = Vec::new();
-
-    for strip_base in (0..heap.roots.len()).step_by(ROOT_STRIP) {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::RootStrip);
-        let mut uw = Work::default();
-        let strip_end = (strip_base + ROOT_STRIP).min(heap.roots.len());
-        for i in strip_base..strip_end {
-            let a = heap.roots[i];
-            if a.is_h1() {
-                mark_push(heap, a, &mut stack, &mut live, &mut uw);
-            } else if a.is_h2() {
-                // A handle (thread-stack root) referencing H2 directly keeps the
-                // region alive, exactly like an H1→H2 forward reference.
-                heap.h2.as_mut().expect("H2 root without H2").note_forward_ref(a);
-            }
-        }
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::RootStrip, cost, uw.extra_ns);
-    }
-    scan_h2_cards_major(heap, &mut sched, &mut stack, &mut live, &mut backward_slots, &mut scanned_cards);
-    let mut live_words: u64 = 0;
-    while !stack.is_empty() {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::GrayPacket);
-        let mut uw = Work::default();
-        for _ in 0..GRAY_PACKET {
-            let Some(obj) = stack.pop() else { break };
-            live_words += heap.object_size(obj) as u64;
-            let (first_slot, end_slot) = heap.ref_slot_range(obj);
-            for s in first_slot..end_slot {
-                uw.refs += 1;
-                let val = heap.mem[s as usize];
-                if val == 0 {
-                    continue;
-                }
-                let target = Addr::new(val);
-                if target.is_h2() {
-                    // Fence: set the region live bit instead of following (§4).
-                    heap.h2.as_mut().expect("H2 ref without H2").note_forward_ref(target);
-                    heap.stats.forward_refs_fenced += 1;
-                    continue;
-                }
-                mark_push(heap, target, &mut stack, &mut live, &mut uw);
-            }
-        }
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::GrayPacket, cost, uw.extra_ns);
-    }
-
-    // Task 4: transitive closures of tagged roots become H2 candidates.
-    // The discovery order doubles as the H2 placement order, keeping each
-    // closure contiguous in its label's regions (key-object locality).
-    // Besides the end-of-previous-GC pressure flag (§3.2), the pressure
-    // path also arms when the live data *measured by this marking* already
-    // exceeds the high threshold — the same occupancy test the paper
-    // applies at GC end, evaluated one GC earlier so the move cannot arrive
-    // after the heap has overflowed.
-    let live_pressure = {
-        let high = heap.h2.as_ref().map(|h| h.policy().high()).unwrap_or(1.0);
-        live_words as f64 > high * heap.old.capacity_words() as f64
-    };
-    let move_order = if heap.h2.is_some() {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::CandidateSelect);
-        let mut uw = Work::default();
-        let order = select_candidates(heap, &live, live_words, live_pressure, &mut uw);
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::CandidateSelect, cost, uw.extra_ns);
-        order
-    } else {
-        Vec::new()
-    };
-
-    // Optional uncharged statistics pass for Figure 10 (live objects per
-    // H2 region), before dead regions are swept.
-    if heap.track_h2_liveness && heap.h2.is_some() {
-        record_h2_liveness(heap);
-    }
-
-    // Task 5: free dead H2 regions (lazy bulk reclamation).
-    if heap.h2.is_some() {
-        heap.propagate_site_groups();
-        let freed = heap.h2.as_mut().unwrap().propagate_and_sweep();
-        for rid in &freed {
-            heap.h2_starts.remove(&rid.0);
-            clear_region_cards(heap, rid.0);
-        }
-    }
-
-    heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MajorGc, "major:mark");
-    heap.stats.phases.marking_ns += heap.clock.total_ns() - phase_start;
-    heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Mark });
-
-    // ---------------- Phase 2: pre-compaction -----------------------------
-    let phase_start = heap.clock.total_ns();
-    heap.clock.emit(EventKind::PhaseBegin { phase: GcPhase::Precompact });
-    sched.set_milli(1000);
-    let old_base = heap.old.base().raw();
-    let mut old_live: Vec<u64> = live.iter().copied().filter(|&a| a >= old_base).collect();
-    let mut young_live: Vec<u64> = live.iter().copied().filter(|&a| a < old_base).collect();
-    old_live.sort_unstable();
-    young_live.sort_unstable();
-    // Coverage domain for this phase and the two that follow: every live
-    // object is planned, adjusted, and compacted by exactly one unit. The
-    // barrier clears the audit state, so each phase re-declares it.
-    for &src in old_live.iter().chain(young_live.iter()) {
-        sched.expect(DOM_OBJECT | src);
-    }
-
-    let mut forwarding =
-        ForwardTable::recycled(std::mem::take(&mut heap.fwd_scratch), heap.mem.len(), live.len());
-    let mut new_top = old_base;
-    let mut new_old_starts: Vec<u64> = Vec::new();
-    // Per-G1-region live words in the old generation, for the mixed-
-    // collection cost model.
-    let mut g1_region_live: HashMap<u64, u64> = HashMap::new();
-
-    // H2 address assignment in closure-discovery order: each root
-    // key-object's transitive closure lands contiguously in its label's
-    // regions, preserving the framework's access locality on the device.
-    // One serial unit: the assignment order is a cross-object dependency
-    // chain (region bump allocation), so it cannot be striped.
-    let fault_txn = heap
-        .h2
-        .as_ref()
-        .is_some_and(|h| h.fault_plane().is_some() && !move_order.is_empty());
-    if !move_order.is_empty() {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::H2Assign);
-        let mut uw = Work::default();
-        if fault_txn {
-            // With a fault plane armed, an alloc can fail mid-cycle (injected
-            // ENOSPC). Promotion is then a transaction: stage every assignment
-            // first, and on any failure restore the region allocator and keep
-            // the whole candidate set in H1 — a half-promoted closure would
-            // split a key-object group across heaps with its region accounting
-            // already advanced.
-            let snap = heap.h2.as_ref().unwrap().regions().snapshot();
-            let mut staged: Vec<(u64, u64)> = Vec::with_capacity(move_order.len());
-            let mut failed = false;
-            for &src in &move_order {
-                let header = heap.mem[src as usize];
-                if !object::is_candidate(header) {
-                    continue;
-                }
-                let size = object::size_of(header);
-                let label = Label::new(heap.mem[src as usize + 1]);
-                uw.objects += 1;
-                match heap.h2.as_mut().unwrap().alloc(label, size) {
-                    Ok(dest) => staged.push((src, dest.raw())),
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            if failed {
-                heap.h2.as_mut().unwrap().regions_mut().restore(snap);
-                for &src in &move_order {
-                    let header = heap.mem[src as usize];
-                    heap.mem[src as usize] = object::without_candidate(header);
-                }
-            } else {
-                for (src, dest) in staged {
-                    forwarding.push(src, dest);
-                }
-            }
-        } else {
-            for &src in &move_order {
-                let header = heap.mem[src as usize];
-                if !object::is_candidate(header) {
-                    continue;
-                }
-                let size = object::size_of(header);
-                let label = Label::new(heap.mem[src as usize + 1]);
-                uw.objects += 1;
-                match heap.h2.as_mut().expect("candidate without H2").alloc(label, size) {
-                    Ok(dest) => {
-                        forwarding.push(src, dest.raw());
-                    }
-                    Err(_) => {
-                        // H2 full: the object stays in H1 this cycle.
-                        heap.mem[src as usize] = object::without_candidate(header);
-                    }
-                }
-            }
-        }
-        // Pre-compaction historically charges CPU only (no extra_ns).
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::H2Assign, cost, 0);
-    }
-    let total_live = old_live.len() + young_live.len();
-    let mut lane = 0;
-    let mut uw = Work::default();
-    for (idx, &src) in old_live.iter().chain(young_live.iter()).enumerate() {
-        if idx % OBJECT_CHUNK == 0 {
-            lane = sched.begin_unit(&clock, WorkUnitKind::PlanChunk);
-            uw = Work::default();
-        }
-        sched.claim(DOM_OBJECT | src);
-        let addr = Addr::new(src);
-        let header = heap.mem[src as usize];
-        // Candidates were already assigned to H2 above (an H2-alloc failure
-        // would have cleared the candidate bit).
-        if !object::is_candidate(header) {
-            let size = object::size_of(header);
-            uw.objects += 1;
-            if let GcVariant::G1 { region_words } = heap.config.variant {
-                if addr.raw() >= old_base {
-                    *g1_region_live
-                        .entry((src - old_base) / region_words as u64)
-                        .or_insert(0) += size as u64;
-                }
-            }
-            let footprint = heap.g1_footprint(size);
-            if new_top + footprint as u64 > heap.old.limit().raw() {
-                heap.in_gc = false;
-                let placed = new_top - old_base;
-                // The aborted phase charges nothing, exactly like the
-                // monolithic code which returned before its phase charge.
-                sched.abandon();
-                heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Precompact });
-                return Err(heap.note_oom(OomError {
-                    requested_words: size,
-                    context: format!(
-                        "live data exceeds the old generation: {} live objects, \
-                         {placed} words placed of {} capacity (old live {}, young live {})",
-                        total_live,
-                        heap.old.capacity_words(),
-                        old_live.len(),
-                        young_live.len()
-                    ),
-                }));
-            }
-            if footprint > size {
-                heap.stats.g1_humongous_waste_words += (footprint - size) as u64;
-            }
-            forwarding.push(src, new_top);
-            new_old_starts.push(new_top);
-            new_top += footprint as u64;
-        }
-        if idx % OBJECT_CHUNK == OBJECT_CHUNK - 1 || idx == total_live - 1 {
-            let cost = uw.cpu_ns(&heap.config.cost);
-            sched.end_unit(&clock, lane, WorkUnitKind::PlanChunk, cost, 0);
-        }
-    }
-    // The G1 mixed-collection fraction: live data in the regions a
-    // garbage-first policy would actually collect, over total live data.
-    let g1_fraction_milli = g1_moved_fraction_milli(heap, &g1_region_live, new_top - old_base);
-    heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MajorGc, "major:precompact");
-    heap.stats.phases.precompact_ns += heap.clock.total_ns() - phase_start;
-    heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Precompact });
-
-    // ---------------- Phase 3: pointer adjustment -------------------------
-    let phase_start = heap.clock.total_ns();
-    heap.clock.emit(EventKind::PhaseBegin { phase: GcPhase::Adjust });
-    // Mixed-collection discount: G1 only adjusts the regions it moves.
-    sched.set_milli(g1_fraction_milli);
-    for &src in old_live.iter().chain(young_live.iter()) {
-        sched.expect(DOM_OBJECT | src);
-    }
-
-    // Re-derive the states of the H2 cards scanned during marking: after
-    // this GC every H1 object is in the old generation.
-    for &(card, has_backward) in &scanned_cards {
-        let state = if has_backward { CardState::OldGen } else { CardState::Clean };
-        heap.h2.as_mut().unwrap().cards_mut().set_state(card, state);
-    }
-
-    let mut lane = 0;
-    let mut uw = Work::default();
-    for (idx, &src) in old_live.iter().chain(young_live.iter()).enumerate() {
-        if idx % OBJECT_CHUNK == 0 {
-            lane = sched.begin_unit(&clock, WorkUnitKind::AdjustChunk);
-            uw = Work::default();
-        }
-        sched.claim(DOM_OBJECT | src);
-        let dest = forwarding.at(src);
-        let dest_addr = Addr::new(dest);
-        let dest_is_h2 = dest_addr.is_h2();
-        let (first_slot, end_slot) = heap.ref_slot_range(Addr::new(src));
-        for s in first_slot..end_slot {
-            let slot = Addr::new(s);
-            let val = heap.mem[slot.raw() as usize];
-            if val == 0 {
-                continue;
-            }
-            uw.adjusted_refs += 1;
-            uw.extra_ns += heap.h1_word_extra_ns(slot);
-            let new_val = if Addr::new(val).is_h2() {
-                val // H2 objects never move
-            } else {
-                forwarding.get(val).unwrap_or(val)
-            };
-            heap.mem[slot.raw() as usize] = new_val;
-            if dest_is_h2 {
-                let new_target = Addr::new(new_val);
-                let slot_off = slot.raw() - src;
-                if new_target.is_h1() {
-                    // Newly created backward reference: dirty the H2 card of
-                    // the object's future location (§4).
-                    let h2 = heap.h2.as_mut().unwrap();
-                    h2.cards_mut().mark_dirty(Addr::new(dest + slot_off));
-                } else if new_target.is_h2() {
-                    // Newly created cross-region reference: record the
-                    // directional dependency (§4).
-                    let h2 = heap.h2.as_mut().unwrap();
-                    let from = h2.regions().region_of(dest_addr);
-                    let to = h2.regions().region_of(new_target);
-                    if from != to {
-                        h2.regions_mut().add_dependency(from, to);
-                    }
-                }
-            }
-        }
-        if idx % OBJECT_CHUNK == OBJECT_CHUNK - 1 || idx == total_live - 1 {
-            let cost = uw.cpu_ns(&heap.config.cost);
-            sched.end_unit(&clock, lane, WorkUnitKind::AdjustChunk, cost, uw.extra_ns);
-        }
-    }
-    // Roots (uncosted in the phase model: a handful of slot rewrites).
-    for i in 0..heap.roots.len() {
-        let a = heap.roots[i];
-        if a.is_h1() {
-            if let Some(d) = forwarding.get(a.raw()) {
-                heap.roots[i] = Addr::new(d);
-            }
-        }
-    }
-    // Backward references found during marking: point them at the new H1
-    // locations (device writes, charged to major GC).
-    for chunk in backward_slots.chunks(GRAY_PACKET) {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::BackwardFix);
-        let mut uw = Work::default();
-        for &slot in chunk {
-            let val = heap.h2.as_ref().unwrap().read_word_free(slot);
-            if val == 0 || Addr::new(val).is_h2() {
-                continue;
-            }
-            let new_val = forwarding.get(val).unwrap_or(val);
-            if new_val != val {
-                heap.h2.as_mut().unwrap().write_word(slot, new_val, Category::MajorGc);
-            }
-            uw.adjusted_refs += 1;
-        }
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::BackwardFix, cost, uw.extra_ns);
-    }
-    heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MajorGc, "major:adjust");
-    heap.stats.phases.adjust_ns += heap.clock.total_ns() - phase_start;
-    heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Adjust });
-
-    // ---------------- Phase 4: compaction ---------------------------------
-    let phase_start = heap.clock.total_ns();
-    heap.clock.emit(EventKind::PhaseBegin { phase: GcPhase::Compact });
-    // H1 copies carry the mixed-collection discount (scaled); H2 promotion
-    // copies are always paid in full (flat).
-    sched.set_milli(g1_fraction_milli);
-    for &src in old_live.iter().chain(young_live.iter()) {
-        sched.expect(DOM_OBJECT | src);
-    }
-    // Deferred-copy arena: one growable buffer instead of a `Vec<u64>`
-    // allocation per stashed object.
-    let mut stash_words: Vec<u64> = Vec::new();
-    let mut stash_meta: Vec<(u64, usize, usize)> = Vec::new(); // (dest, offset, len)
-    let mut promoted_regions: Vec<u32> = Vec::new();
-    let mut lane = 0;
-    let mut uw = Work::default();
-    let mut unit_h1_words: u64 = 0;
-    for (idx, &src) in old_live.iter().chain(young_live.iter()).enumerate() {
-        if idx % OBJECT_CHUNK == 0 {
-            lane = sched.begin_unit(&clock, WorkUnitKind::CompactChunk);
-            uw = Work::default();
-            unit_h1_words = 0;
-        }
-        sched.claim(DOM_OBJECT | src);
-        let dest = forwarding.at(src);
-        let size = object::size_of(heap.mem[src as usize]);
-        // Clear GC bits in the header before the object reaches its new home.
-        heap.mem[src as usize] =
-            object::without_candidate(object::without_mark(heap.mem[src as usize]));
-        uw.copied_words += size as u64;
-        let (src_i, src_end) = (src as usize, src as usize + size);
-        if Addr::new(dest).is_h2() {
-            // Split-field borrow: stream the object out of `mem` straight
-            // into the promotion buffer, no intermediate copy.
-            let region = {
-                let Heap { mem, h2, .. } = &mut *heap;
-                let h2 = h2.as_mut().unwrap();
-                h2.write_promoted(Addr::new(dest), &mem[src_i..src_end], Category::MajorGc);
-                h2.regions().region_of(Addr::new(dest))
-            };
-            heap.h2_starts.entry(region.0).or_default().push(dest);
-            if promoted_regions.last() != Some(&region.0) {
-                promoted_regions.push(region.0);
-            }
-            heap.stats.objects_promoted_h2 += 1;
-            if heap.lifetimes.is_enabled() {
-                let label_word = heap.mem[src_i + 1];
-                if label_word != 0 {
-                    let label = teraheap_core::Label::new(label_word);
-                    heap.lifetimes.record_promotion(label, size as u64);
-                    heap.note_site_region(label, region.0);
-                }
-            }
-        } else if dest <= src {
-            heap.mem.copy_within(src_i..src_end, dest as usize);
-            unit_h1_words += size as u64;
-            uw.extra_ns += heap.h1_word_extra_ns(Addr::new(dest)) * size as u64;
-        } else {
-            // G1 humongous rounding can push a destination past its source;
-            // buffer such copies until every source has been read.
-            let off = stash_words.len();
-            stash_words.extend_from_slice(&heap.mem[src_i..src_end]);
-            stash_meta.push((dest, off, size));
-            unit_h1_words += size as u64;
-        }
-        if idx % OBJECT_CHUNK == OBJECT_CHUNK - 1 || idx == total_live - 1 {
-            let copy_ns = heap.config.cost.gc_copy_word_ns;
-            let h1_cpu = unit_h1_words * copy_ns;
-            let h2_cpu = (uw.copied_words - unit_h1_words) * copy_ns;
-            sched.end_unit(&clock, lane, WorkUnitKind::CompactChunk, h1_cpu, h2_cpu + uw.extra_ns);
-        }
-    }
-    for (dest, off, len) in stash_meta {
-        heap.mem[dest as usize..dest as usize + len]
-            .copy_from_slice(&stash_words[off..off + len]);
-    }
-    heap.fwd_scratch = forwarding.reset();
-    // The compaction loop above visits sources in H1 address order, but H2
-    // destinations were assigned in closure-discovery order (phase 2), so the
-    // per-region start lists are appended out of address order. Card scans
-    // binary-search these lists (`first_overlapping`), which silently misses
-    // objects on unsorted input — restore the sort invariant here.
-    promoted_regions.sort_unstable();
-    promoted_regions.dedup();
-    for rid in promoted_regions {
-        if let Some(starts) = heap.h2_starts.get_mut(&rid) {
-            starts.sort_unstable();
-        }
-    }
-    if let Some(h2) = heap.h2.as_mut() {
-        h2.finish_promotion(Category::MajorGc);
-    }
-    heap.old.set_top(Addr::new(new_top));
-    heap.eden.reset();
-    heap.from.reset();
-    heap.to.reset();
-    heap.old_starts = new_old_starts;
-    heap.h1_cards.clear_all();
-
-    heap.stats.lane_stall_ns += sched.barrier(&clock, Category::MajorGc, "major:compact");
-    heap.stats.phases.compact_ns += heap.clock.total_ns() - phase_start;
-    heap.clock.emit(EventKind::PhaseEnd { phase: GcPhase::Compact });
-
-    // End-of-GC: update the transfer policy's pressure state from what is
-    // left in H1 (§3.2).
-    let live_h1_after = (new_top - old_base) as usize;
-    if let Some(h2) = heap.h2.as_mut() {
-        h2.policy_mut()
-            .note_major_gc_end(live_h1_after as u64, heap.old.capacity_words() as u64);
-    }
-
-    let duration = heap.clock.total_ns() - start_ns;
-    heap.stats.major_count += 1;
-    heap.stats.major_ns += duration;
-    let h2_words_after = heap.h2.as_ref().map(|h| h.words_promoted()).unwrap_or(0);
-    heap.clock.emit(EventKind::GcEnd {
-        gc: GcKind::Major,
-        old_used_words: heap.old.used_words() as u64,
-        old_capacity_words: heap.old.capacity_words() as u64,
-        promoted_h2_words: h2_words_after - h2_words_before,
-    });
-    heap.in_gc = false;
-    heap.maybe_heap_check("after major GC");
-    Ok(())
-}
 
 /// The compaction forwarding table: `src → dest` for every live object.
 ///
@@ -630,217 +87,12 @@ pub(super) fn mark_push(
     stack.push(addr);
 }
 
-/// Scans every non-clean H2 card for backward references: their H1 targets
-/// are GC roots (must stay live), and the slots are collected for the
-/// adjustment phase. Cards are processed in chunks of [`H2_CARD_CHUNK`],
-/// each chunk one schedulable unit.
-fn scan_h2_cards_major(
-    heap: &mut Heap,
-    sched: &mut Scheduler,
-    stack: &mut Vec<Addr>,
-    live: &mut Vec<u64>,
-    backward_slots: &mut Vec<Addr>,
-    scanned_cards: &mut Vec<(usize, bool)>,
-) {
-    if heap.h2.is_none() {
-        return;
-    }
-    let clock = heap.clock.clone();
-    let cards = heap.h2.as_mut().unwrap().cards_mut().major_scan_cards();
-    heap.clock.emit(EventKind::CardScan {
-        table: CardTableKind::H2Major,
-        cards: cards.len() as u64,
-    });
-    for &card in &cards {
-        sched.expect(DOM_H2_CARD | card as u64);
-    }
-    let seg_words = heap.h2.as_ref().unwrap().cards().seg_words() as u64;
-    let region_words = heap.h2.as_ref().unwrap().regions().region_words() as u64;
-    // Take/put-back the region's start index instead of cloning it per card
-    // (consecutive cards usually share a region).
-    let mut cached: Option<(u32, Vec<u64>)> = None;
-    // The slot walk never writes the mapping (mark_push touches H1 memory
-    // only), so each object's slot range is one bulk read — touch_run's
-    // internal page decomposition reproduces the per-word touch order.
-    let mut slot_buf: Vec<u64> = Vec::new();
-    for chunk in cards.chunks(H2_CARD_CHUNK) {
-        let lane = sched.begin_unit(&clock, WorkUnitKind::H2CardChunk);
-        let mut uw = Work::default();
-        for &card in chunk {
-            sched.claim(DOM_H2_CARD | card as u64);
-            uw.cards += 1;
-            let base = heap.h2.as_ref().unwrap().cards().card_base(card);
-            let region = (base.h2_offset() / region_words) as u32;
-            let lo = base.raw();
-            let hi = lo + seg_words;
-            if cached.as_ref().map(|&(r, _)| r) != Some(region) {
-                if let Some((r, v)) = cached.take() {
-                    heap.h2_starts.insert(r, v);
-                }
-                cached = heap.h2_starts.remove(&region).map(|v| (region, v));
-            }
-            let starts = match &cached {
-                Some((_, s)) => s,
-                None => {
-                    scanned_cards.push((card, false));
-                    continue;
-                }
-            };
-            let mut has_backward = false;
-            if !starts.is_empty() {
-                let mut i = starts.partition_point(|&s| s <= lo).saturating_sub(1);
-                while i < starts.len() && starts[i] < hi {
-                    let obj = Addr::new(starts[i]);
-                    let header = heap.h2.as_mut().unwrap().read_word(obj, Category::MajorGc);
-                    let size = object::size_of(header) as u64;
-                    uw.objects += 1;
-                    if obj.raw() + size > lo {
-                        let (first_slot, end_slot) = heap.ref_slot_range_in(obj, lo, hi);
-                        // The clamped range can be empty (inverted) for objects
-                        // whose ref slots all fall outside the card.
-                        slot_buf.resize(end_slot.saturating_sub(first_slot) as usize, 0);
-                        heap.h2.as_mut().unwrap().read_words(
-                            Addr::new(first_slot),
-                            &mut slot_buf,
-                            Category::MajorGc,
-                        );
-                        for (j, &val) in slot_buf.iter().enumerate() {
-                            let slot = Addr::new(first_slot + j as u64);
-                            uw.refs += 1;
-                            if val == 0 {
-                                continue;
-                            }
-                            if Addr::new(val).is_h2() {
-                                // A mutator update created an H2→H2 reference
-                                // after the move: record the cross-region
-                                // dependency the allocator could not have seen.
-                                let h2 = heap.h2.as_mut().unwrap();
-                                let from = h2.regions().region_of(obj);
-                                let to = h2.regions().region_of(Addr::new(val));
-                                if from != to {
-                                    h2.regions_mut().add_dependency(from, to);
-                                }
-                                continue;
-                            }
-                            has_backward = true;
-                            heap.stats.backward_refs_seen += 1;
-                            backward_slots.push(slot);
-                            mark_push(heap, Addr::new(val), stack, live, &mut uw);
-                        }
-                    }
-                    i += 1;
-                }
-            }
-            scanned_cards.push((card, has_backward));
-        }
-        let cost = uw.cpu_ns(&heap.config.cost);
-        sched.end_unit(&clock, lane, WorkUnitKind::H2CardChunk, cost, uw.extra_ns);
-    }
-    if let Some((r, v)) = cached.take() {
-        heap.h2_starts.insert(r, v);
-    }
-}
-
-/// Marking-phase task 4: find live tagged root key-objects, decide which
-/// labels move (hint or pressure, §3.2) and tag their transitive closures as
-/// candidates, honouring the low-threshold budget.
-pub(super) fn select_candidates(
-    heap: &mut Heap,
-    live: &[u64],
-    live_words: u64,
-    start_pressure: bool,
-    work: &mut Work,
-) -> Vec<u64> {
-    let mut move_order: Vec<u64> = Vec::new();
-    if heap.h2.is_none() {
-        return move_order;
-    }
-    // Degraded H2 (injected ENOSPC or a write-retry budget exhausted):
-    // promotions park in the old generation — the paper's no-H2 baseline —
-    // until the device recovers.
-    if heap.h2.as_ref().unwrap().is_degraded() {
-        return move_order;
-    }
-    let policy = heap.h2.as_ref().unwrap().policy().clone();
-    let mut tagged: Vec<(u64, u64)> = live
-        .iter()
-        .filter(|&&a| heap.mem[a as usize + 1] != 0)
-        .map(|&a| (heap.mem[a as usize + 1], a))
-        .collect();
-    if tagged.is_empty() {
-        return move_order;
-    }
-    // Oldest labels first, so the low threshold moves the oldest (most
-    // likely immutable) groups and leaves recently tagged ones in H1.
-    tagged.sort_unstable();
-    let pressure = policy.under_pressure() || start_pressure;
-    // With hints enabled, the newest tagged group has most likely not seen
-    // its h2_move yet (it is still mutable — e.g. Giraph's current message
-    // store); the pressure path defers it *unless moving every older group
-    // still leaves the heap overflowing* (§3.2: the hint exists precisely
-    // to avoid device read-modify-writes on groups moved while mutable).
-    // Without hints (NH) everything marked moves, mutable or not.
-    let newest_label = tagged.last().map(|&(l, _)| l).unwrap_or(0);
-    let mut pressure_budget = if pressure {
-        policy.pressure_budget_words(live_words, heap.old.capacity_words() as u64)
-    } else {
-        None
-    };
-    let mut moved_words: u64 = 0;
-    let mut deferred: Vec<(u64, u64)> = Vec::new();
-    for (label_id, root) in tagged {
-        let label = Label::new(label_id);
-        let requested = policy.is_requested(label);
-        if !requested && !pressure {
-            continue;
-        }
-        if !requested && policy.hints_enabled() && label_id == newest_label {
-            deferred.push((label_id, root));
-            continue;
-        }
-        if !requested {
-            if let Some(b) = pressure_budget {
-                if b == 0 {
-                    continue;
-                }
-            }
-        }
-        let words = tag_closure(heap, Addr::new(root), label, work, &mut move_order);
-        moved_words += words;
-        if !requested {
-            if let Some(b) = &mut pressure_budget {
-                *b = b.saturating_sub(words);
-            }
-        }
-    }
-    // Take the deferred (mutable) group only when survival demands it.
-    let remaining = live_words.saturating_sub(moved_words);
-    if remaining as f64 > 0.95 * heap.old.capacity_words() as f64 {
-        for (label_id, root) in deferred {
-            tag_closure(heap, Addr::new(root), Label::new(label_id), work, &mut move_order);
-        }
-    }
-    move_order
-}
-
-/// Tags the transitive closure of `root` with `label` and the candidate bit,
-/// excluding JVM-metadata and `Reference`-kind objects (§3.2). Returns the
-/// words tagged.
-fn tag_closure(
-    heap: &mut Heap,
-    root: Addr,
-    label: Label,
-    work: &mut Work,
-    move_order: &mut Vec<u64>,
-) -> u64 {
-    let mut stack = vec![root];
-    tag_closure_step(heap, &mut stack, label, work, move_order, usize::MAX)
-}
-
 /// One bounded step of a closure tagging: pops from `stack` until `limit`
-/// objects were tagged or the stack drains, returning the words tagged. The
-/// incremental selector resumes the same stack across pause slices; the
-/// stop-world path runs it once with an unbounded limit.
+/// objects were tagged or the stack drains, tagging each object with
+/// `label` and the candidate bit and returning the words tagged.
+/// JVM-metadata and `Reference`-kind objects are excluded (§3.2). A sliced
+/// selector resumes the same stack across pause slices; a whole-pause one
+/// runs it with an unbounded limit.
 pub(super) fn tag_closure_step(
     heap: &mut Heap,
     stack: &mut Vec<Addr>,
@@ -860,9 +112,9 @@ pub(super) fn tag_closure_step(
         if object::is_candidate(header) {
             continue;
         }
-        // Only marked (SATB-live) objects join the closure. Stop-world
+        // Only marked (SATB-live) objects join the closure. Whole-pause
         // marking leaves no reachable object unmarked, so this never skips
-        // there; the incremental selector interleaves with the mutator,
+        // there; a sliced selector interleaves with the mutator,
         // which can link objects allocated *after* mark termination into a
         // tagged group — those are outside the frozen relocation
         // enumeration and must not be assigned H2 addresses this cycle.
@@ -908,7 +160,7 @@ pub(super) fn clear_region_cards(heap: &mut Heap, region: u32) {
 
 /// The G1 mixed-collection moved-live fraction, in thousandths. Non-G1
 /// variants return 1000 (full compaction cost).
-fn g1_moved_fraction_milli(heap: &Heap, region_live: &HashMap<u64, u64>, total_live: u64) -> u64 {
+pub(super) fn g1_moved_fraction_milli(heap: &Heap, region_live: &HashMap<u64, u64>, total_live: u64) -> u64 {
     let GcVariant::G1 { region_words } = heap.config.variant else {
         return 1000;
     };

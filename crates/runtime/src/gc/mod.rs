@@ -1,5 +1,11 @@
 //! Garbage collectors: the PS-style minor scavenge and four-phase major
 //! mark–compact, extended with TeraHeap's integration points (§4).
+//!
+//! * [`minor`] — the young-generation scavenge.
+//! * [`incremental`] — the major collector: one resumable step machine run
+//!   by two drivers, whole-pause collections and pause-budgeted slices.
+//! * [`major`] — helpers the major collector's steps share.
+//! * [`schedule`] — the work-unit scheduler both collectors charge through.
 
 pub mod incremental;
 pub mod major;
