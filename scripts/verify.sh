@@ -4,8 +4,12 @@
 # The workspace is zero-dependency by design (see crates/util): every crate
 # depends only on path = ... workspace members and std, so a clean checkout
 # builds fully offline. This script fails if
-#   1. any Cargo.toml grows a non-path (registry) dependency, or
-#   2. the offline release build or test suite fails.
+#   1. any Cargo.toml (the benchmark's included) grows a non-path (registry)
+#      dependency,
+#   2. the offline release build, the test suite, clippy or the benchmark's
+#      own tests fail,
+#   3. a required invariant suite did not run in full, or
+#   4. a committed figure CSV no longer regenerates bit-identically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,7 +18,7 @@ echo "== hermeticity guard: no registry dependencies =="
 # `name = { version = "1", ... }`. Package-metadata keys (version, edition,
 # rust-version, resolver) are the only legitimate `key = "literal"` lines.
 violations=$(grep -nE '^[[:space:]]*[A-Za-z0-9_-]+[[:space:]]*=[[:space:]]*("[0-9^~<>=*]|\{[^}]*\bversion\b)' \
-    Cargo.toml crates/*/Cargo.toml \
+    Cargo.toml crates/*/Cargo.toml perfbench/Cargo.toml \
     | grep -vE ':[0-9]+:[[:space:]]*(version|edition|rust-version|resolver)[[:space:]]*=' \
     || true)
 if [[ -n "$violations" ]]; then
@@ -25,13 +29,13 @@ fi
 # Dotted dependency sections (`[dependencies.foo]` + `version = ...`) would
 # slip past the line-based check above because `version` is an allowed key;
 # the workspace uses none, so reject the section form outright.
-if grep -nE '^\[[A-Za-z-]*dependencies\.' Cargo.toml crates/*/Cargo.toml; then
+if grep -nE '^\[[A-Za-z-]*dependencies\.' Cargo.toml crates/*/Cargo.toml perfbench/Cargo.toml; then
     echo "ERROR: dotted dependency section found; use inline path/workspace deps." >&2
     exit 1
 fi
 # Belt and braces: the historical external crates must never reappear.
 if grep -nE '^[^#]*\b(rand|proptest|criterion|crossbeam|parking_lot|bytes|serde)[[:space:]]*=' \
-    Cargo.toml crates/*/Cargo.toml; then
+    Cargo.toml crates/*/Cargo.toml perfbench/Cargo.toml; then
     echo "ERROR: external crate dependency reintroduced." >&2
     exit 1
 fi
@@ -40,91 +44,82 @@ echo "ok"
 echo "== offline release build =="
 cargo build --release --offline --workspace
 
+# Invariant suites the workspace test pass must run in full, as
+# `<crate>:<suite>` (an integration-test file stem, or `lib` for a crate's
+# unit tests). Each must report at least one passed test and none filtered
+# out, so a skipped or filtered suite fails loudly.
+required_suites=(
+    # Flight recorder (DESIGN.md §8): tracing observes the clock and never
+    # advances it.
+    teraheap_runtime:trace_equivalence
+    # Bulk access plane (§9): touch_run is bit-identical to the
+    # word-at-a-time loop — same ns, same counters, same events.
+    teraheap_storage:bulk_equivalence
+    # Fault plane (§10): crash-consistency sweep at every write-back
+    # boundary, recovery properties, zero-rate plane == no plane.
+    teraheap_storage:crash_consistency
+    teraheap_runtime:fault_recovery
+    teraheap_runtime:fault_equivalence
+    # Major collector (§11, §12): the serial, default, armed-idle,
+    # four-lane, G1, Panthera and sliced goldens; lane accounting
+    # deterministic across runs, lanes, variants and host parallelism;
+    # sliced cycles converge to the whole-pause heap.
+    teraheap_runtime:gc_equivalence
+    teraheap_runtime:lane_determinism
+    teraheap_runtime:incremental_marking
+    # Shared devices (§13): the server plane and cross-tenant fault
+    # isolation.
+    teraheap_server:lib
+    teraheap_runtime:fault_isolation
+    # Adaptive placement (§14): lifetime-profile and cost-model properties.
+    teraheap_core:properties
+    mini_spark:placement_properties
+    # Query plane (§15): oracle properties, endurance churn, linked-idle
+    # golden.
+    teraheap_query:query_properties
+    teraheap_query:endurance
+    teraheap_query:gc_equivalence
+)
+
 echo "== offline tests =="
-cargo test -q --offline --workspace
+test_log=$(mktemp)
+trap 'rm -f "$test_log"' EXIT
+cargo test --offline --workspace -- --quiet 2>&1 | tee "$test_log"
+
+echo "== required suites ran in full =="
+# One line per test binary: `<crate>:<suite> <passed> <filtered>`.
+ran=$(awk '
+    /^ *Running unittests src\/lib\.rs / {
+        crate = $0; sub(/.*deps\//, "", crate); sub(/-[0-9a-f]+\)$/, "", crate)
+        suite = crate ":lib"; next
+    }
+    /^ *Running tests\// {
+        name = $2; sub(/^tests\//, "", name); sub(/\.rs$/, "", name)
+        suite = crate ":" name; next
+    }
+    /^ *(Running|Doc-tests) / { suite = ""; next }
+    /^test result:/ && suite != "" { print suite, $4, $12; suite = "" }
+' "$test_log")
+missing=0
+for s in "${required_suites[@]}"; do
+    got=$(awk -v s="$s" '$1 == s' <<<"$ran")
+    if [[ $(wc -l <<<"$got") -ne 1 ]] || ! awk '{ exit !($2 >= 1 && $3 == 0) }' <<<"$got"; then
+        echo "ERROR: suite $s did not run in full: '${got:-not run}' (want one run, >= 1 passed, 0 filtered)" >&2
+        missing=1
+    fi
+done
+[[ $missing -eq 0 ]] || exit 1
+echo "ok: ${#required_suites[@]} suites"
 
 echo "== lints: clippy -D warnings =="
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 echo "ok"
 
-# Flight-recorder invariant (DESIGN.md §8): tracing observes the clock and
-# never advances it. Run the suite explicitly even though the workspace
-# test pass above includes it, so a skipped/filtered test run cannot hide
-# a trace-equivalence regression.
-echo "== trace equivalence: tracing never perturbs simulated time =="
-cargo test -q --offline -p teraheap-runtime --test trace_equivalence
-echo "ok"
-
-# Work-unit scheduler invariants (DESIGN.md §11): gc_threads=1 must
-# reproduce the pre-refactor serial collector bit-identically, and lane
-# accounting must be deterministic across runs, thread counts, and host
-# parallelism. Run both suites explicitly.
-echo "== lane equivalence: serial golden + lane determinism =="
-cargo test -q --offline -p teraheap-runtime --test gc_equivalence
-cargo test -q --offline -p teraheap-runtime --test lane_determinism
-echo "ok"
-
-# Incremental-collection invariants (DESIGN.md §12): a pause-budgeted run
-# must converge to the same logical heap as the stop-world collector at any
-# budget and lane count, slices must replay bit-identically, and the armed
-# but idle barrier (pause_budget_ns = u64::MAX) must reproduce the
-# stop-world golden. Run the suite explicitly.
-echo "== incremental equivalence: sliced majors converge to stop-world =="
-cargo test -q --offline -p teraheap-runtime --test incremental_marking
-echo "ok"
-
-# Bulk-access-plane invariant (DESIGN.md §9): touch_run must be bit-identical
-# to the word-at-a-time loop — same ns, same counters, same events. Run the
-# property suite explicitly for the same reason as above.
-echo "== bulk equivalence: batched touches match the per-word loop =="
-cargo test -q --offline -p teraheap-storage --test bulk_equivalence
-echo "ok"
-
-# Fault-plane invariants (DESIGN.md §10): the crash-consistency sweep must
-# pass at every write-back boundary with zero silent-corruption escapes, the
-# recovery property suite must hold, and a zero-rate plane must be
-# bit-identical to no plane at all. Run the three suites explicitly so a
-# filtered test run cannot hide a regression.
-echo "== faults: crash-consistency sweep, recovery properties, differential =="
-cargo test -q --offline -p teraheap-storage --test crash_consistency
-cargo test -q --offline -p teraheap-runtime --test fault_recovery
-cargo test -q --offline -p teraheap-runtime --test fault_equivalence
-echo "ok"
-
-# Shared-device invariants (DESIGN.md §13): the one-tenant arbitrated path
-# must reproduce the pre-redesign private-device goldens bit-identically
-# (both through attach_h2 and the deprecated shim), N-tenant server runs
-# must be deterministic with typed config rejection, and one tenant's
-# injected crash must leave its neighbours' simulated time, heap census and
-# arbitration counters untouched. Run the three suites explicitly.
-echo "== shared device: tenant equivalence, server plane, fault isolation =="
-cargo test -q --offline -p teraheap-runtime --test gc_equivalence -- \
-    deprecated_shim_matches_golden sole_tenant_arbitration_is_queueless
-cargo test -q --offline -p teraheap-server
-cargo test -q --offline -p teraheap-runtime --test fault_isolation
-echo "ok"
-
-# Adaptive-placement invariants (DESIGN.md §14): the lifetime profiler must
-# replay bit-identically and never retract a pretenure decision, region
-# group liveness must be merge-order invariant, and the placement cost
-# model must be deterministic and monotone in device latency and S/D cost.
-# Run both property suites explicitly.
-echo "== adaptive placement: lifetime-profile + cost-model properties =="
-cargo test -q --offline -p teraheap-core --test properties
-cargo test -q --offline -p mini-spark --test placement_properties
-echo "ok"
-
-# Query-plane invariants (DESIGN.md §15): the executor must match its
-# naive oracle with the index plan answer-bit-equal to the full scan and
-# answers invariant across runtime knobs; the retriever-style endurance
-# loop must stay leak-free with the heap checker armed; and with the query
-# crate linked but idle the runtime golden must reproduce bit-identically
-# (the events, labeled entry points and server variant cost nothing
-# unused). Run the three suites explicitly.
-echo "== query plane: oracle properties, endurance churn, linked-idle golden =="
-cargo test -q --offline -p teraheap-query --test query_properties
-cargo test -q --offline -p teraheap-query --test endurance
-cargo test -q --offline -p teraheap-query --test gc_equivalence
+# The benchmark is a package of its own (perfbench/), outside the
+# workspace: build and test it so a runtime API change that breaks it fails
+# here.
+echo "== benchmark tests =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "ok"
 
 # Faults smoke stage: one seeded chaos run per device profile (NVMe page
@@ -149,7 +144,7 @@ echo "ok"
 if [[ "${VERIFY_SKIP_RESULTS:-0}" != "1" ]]; then
     echo "== results determinism: regenerate and diff results/*.csv =="
     tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp"' EXIT
+    trap 'rm -rf "$tmp" "$test_log"' EXIT
     cp -r results "$tmp/committed"
     for bin in fig6_spark fig6_giraph fig7_timeline fig8_collectors \
                fig9_hints fig10_regions fig11_gc_overhead fig12_nvm \
