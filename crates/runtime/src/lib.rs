@@ -15,11 +15,12 @@
 //! * a **minor GC** ([`gc::minor`]): copying scavenge with aging/tenuring,
 //!   rooted at handles, dirty H1 cards and H2 backward references, fenced
 //!   from crossing into H2;
-//! * a **major GC** ([`gc::major`]): the PS four-phase mark–compact
+//! * a **major GC** ([`gc::incremental`]): the PS four-phase mark–compact
 //!   (marking, pre-compaction, pointer adjustment, compaction), extended
 //!   with the paper's five marking-phase tasks, H2 address assignment in
 //!   pre-compaction, backward/cross-region bookkeeping in adjustment and
-//!   promotion-buffered H2 moves in compaction;
+//!   promotion-buffered H2 moves in compaction — one step machine run
+//!   whole in one pause or in pause-budgeted slices;
 //! * **baseline collectors** for the evaluation: a G1-style cost model with
 //!   humongous-object fragmentation, a Panthera-style DRAM/NVM split old
 //!   generation, and an NVM "Memory mode" access model — all selected via
