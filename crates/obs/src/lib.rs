@@ -19,7 +19,7 @@
 //! - [`Tracer`]: level-gated sink. `Off` drops everything, `Counters` keeps
 //!   the per-class counters and span histograms, `Full` (the default) also
 //!   records events into the ring buffer.
-//! - [`timeline`]: deterministic JSONL/CSV exporters and the
+//! - [`timeline`]: the deterministic JSONL exporter and the
 //!   [`timeline::gc_cycles`] pairing used by `fig7_timeline`.
 //! - [`Tracer::crash_dump`]: writes the last events as JSONL when the runtime
 //!   hits an OOM, gated by `TERAHEAP_OBS_DUMP` so default runs stay quiet.
@@ -425,41 +425,7 @@ pub const SPAN_NAMES: [&str; SPAN_COUNT] = [
 impl EventKind {
     /// Short lowercase name used by the exporters and counter listing.
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::GcBegin { .. } => "gc_begin",
-            EventKind::GcEnd { .. } => "gc_end",
-            EventKind::PhaseBegin { .. } => "phase_begin",
-            EventKind::PhaseEnd { .. } => "phase_end",
-            EventKind::SpanBegin { .. } => "span_begin",
-            EventKind::SpanEnd { .. } => "span_end",
-            EventKind::CardScan { .. } => "card_scan",
-            EventKind::H2PromoFlush { .. } => "h2_promo_flush",
-            EventKind::PageFault { .. } => "page_fault",
-            EventKind::PageEvict { .. } => "page_evict",
-            EventKind::WriteBack { .. } => "write_back",
-            EventKind::DeviceRead { .. } => "device_read",
-            EventKind::DeviceWrite { .. } => "device_write",
-            EventKind::Oom => "oom",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::IoRetry { .. } => "io_retry",
-            EventKind::H2Degraded { .. } => "h2_degraded",
-            EventKind::CrashPoint => "crash_point",
-            EventKind::Recovered { .. } => "recovered",
-            EventKind::UnitBegin { .. } => "unit_begin",
-            EventKind::UnitEnd { .. } => "unit_end",
-            EventKind::LaneBarrier { .. } => "lane_barrier",
-            EventKind::SliceBegin { .. } => "slice_begin",
-            EventKind::SliceEnd { .. } => "slice_end",
-            EventKind::WriteBarrierRemember { .. } => "write_barrier_remember",
-            EventKind::DeviceQueued { .. } => "device_queued",
-            EventKind::TenantSched { .. } => "tenant_sched",
-            EventKind::Pretenure { .. } => "pretenure",
-            EventKind::PlacementDecision { .. } => "placement_decision",
-            EventKind::BlockSerde { .. } => "block_serde",
-            EventKind::QueryBegin { .. } => "query_begin",
-            EventKind::QueryEnd { .. } => "query_end",
-            EventKind::IndexProbe { .. } => "index_probe",
-        }
+        Self::CLASS_NAMES[self.class()]
     }
 
     /// Dense class index for the per-class counters.
@@ -930,6 +896,62 @@ mod tests {
         assert_eq!(stats[0].name, "minor_gc");
         assert_eq!(stats[0].count, 1);
         assert_eq!(stats[0].max_ns, 7);
+    }
+
+    #[test]
+    fn class_table_is_a_bijection() {
+        // One value of every variant. Two variants sharing an index would
+        // silently merge their counters in `Tracer::counts`; a new variant
+        // must bump `CLASS_COUNT`, which fails this test until it is listed.
+        let (gc, phase, unit) = (GcKind::Major, GcPhase::Mark, WorkUnitKind::GrayPacket);
+        let kinds = [
+            EventKind::GcBegin { gc, cause: GcCause::Explicit, old_used_words: 0 },
+            EventKind::GcEnd { gc, old_used_words: 0, old_capacity_words: 0, promoted_h2_words: 0 },
+            EventKind::PhaseBegin { phase },
+            EventKind::PhaseEnd { phase },
+            EventKind::SpanBegin { kind: SpanKind::Stage },
+            EventKind::SpanEnd { kind: SpanKind::Stage },
+            EventKind::CardScan { table: CardTableKind::H1, cards: 0 },
+            EventKind::H2PromoFlush { bytes: 0 },
+            EventKind::PageFault { sequential: false },
+            EventKind::PageEvict { writeback: false },
+            EventKind::WriteBack { bytes: 0 },
+            EventKind::DeviceRead { bytes: 0 },
+            EventKind::DeviceWrite { bytes: 0 },
+            EventKind::Oom,
+            EventKind::FaultInjected { write: false },
+            EventKind::IoRetry { attempt: 1 },
+            EventKind::H2Degraded { enospc: false },
+            EventKind::CrashPoint,
+            EventKind::Recovered { torn_pages: 0, regions: 0 },
+            EventKind::UnitBegin { lane: 0, kind: unit },
+            EventKind::UnitEnd { lane: 0, kind: unit, cost_ns: 0 },
+            EventKind::LaneBarrier { lanes: 1, units: 0, advance_ns: 0, stall_ns: 0 },
+            EventKind::SliceBegin { phase },
+            EventKind::SliceEnd { phase, units: 0 },
+            EventKind::WriteBarrierRemember { root: false },
+            EventKind::DeviceQueued { wait_ns: 0 },
+            EventKind::TenantSched { tenant: 0, admitted: true },
+            EventKind::Pretenure { label: 0, words: 0 },
+            EventKind::PlacementDecision { rdd: 0, partition: 0, choice: 0 },
+            EventKind::BlockSerde { deser: false, bytes: 0 },
+            EventKind::QueryBegin { session: 0, kind: 0 },
+            EventKind::QueryEnd { session: 0, rows: 0 },
+            EventKind::IndexProbe { runs: 0, hits: 0 },
+        ];
+        let mut seen = [0u32; CLASS_COUNT];
+        for kind in kinds {
+            let class = kind.class();
+            assert!(class < CLASS_COUNT, "{kind:?} maps to {class}, outside 0..{CLASS_COUNT}");
+            seen[class] += 1;
+        }
+        for (class, uses) in seen.iter().enumerate() {
+            assert_eq!(
+                *uses, 1,
+                "class {class} ({}) is used by {uses} variants, want exactly 1",
+                EventKind::CLASS_NAMES[class]
+            );
+        }
     }
 
     #[test]

@@ -155,28 +155,16 @@ impl BlockManager {
             CacheMode::OnHeapOnly => {
                 self.slots.insert(id, Slot::OnHeap(partition));
             }
-            CacheMode::SerializedOverflow { device, onheap_budget_words } => {
+            CacheMode::SerializedOverflow { onheap_budget_words, .. } => {
                 let words = kryo_sim::serialized_size(heap, partition) / 8;
                 if self.onheap_used_words + words <= *onheap_budget_words {
                     self.onheap_used_words += words;
                     self.slots.insert(id, Slot::OnHeap(partition));
                 } else {
-                    let bytes = kryo_sim::serialize(heap, partition)?;
-                    let offset = self.device_cursor;
-                    self.device_cursor += bytes.len();
-                    device
-                        .write(offset, &bytes, Category::Io)
-                        .expect("off-heap cache device full");
-                    heap.release(partition);
-                    heap.clock().emit(EventKind::BlockSerde {
-                        deser: false,
-                        bytes: bytes.len() as u64,
-                    });
-                    self.slots.insert(id, Slot::OffHeap { offset, len: bytes.len() });
-                    self.sd_serializations += 1;
+                    self.spill(heap, id, partition)?;
                 }
             }
-            CacheMode::Adaptive { device, onheap_budget_words, model } => {
+            CacheMode::Adaptive { onheap_budget_words, model, .. } => {
                 model.note_put(id.rdd);
                 if heap.is_in_h2(partition) {
                     // Pretenured at allocation: the lifetime profiler already
@@ -212,22 +200,10 @@ impl BlockManager {
                         self.slots.insert(id, Slot::OnHeap(partition));
                     }
                     Placement::Serialized => {
-                        let before = heap.clock().category_ns(Category::SerDe);
-                        let bytes = kryo_sim::serialize(heap, partition)?;
-                        let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
-                        model.observe_serde(bytes.len() as u64, serde_ns);
-                        let offset = self.device_cursor;
-                        self.device_cursor += bytes.len();
-                        device
-                            .write(offset, &bytes, Category::Io)
-                            .expect("off-heap cache device full");
-                        heap.release(partition);
-                        heap.clock().emit(EventKind::BlockSerde {
-                            deser: false,
-                            bytes: bytes.len() as u64,
-                        });
-                        self.slots.insert(id, Slot::OffHeap { offset, len: bytes.len() });
-                        self.sd_serializations += 1;
+                        let (bytes, serde_ns) = self.spill(heap, id, partition)?;
+                        if let CacheMode::Adaptive { model, .. } = &mut self.mode {
+                            model.observe_serde(bytes, serde_ns);
+                        }
                     }
                 }
             }
@@ -255,13 +231,8 @@ impl BlockManager {
             None => Ok(None),
             Some(Slot::OnHeap(h)) => Ok(Some(heap.dup(*h))),
             Some(&Slot::OffHeap { offset, len }) => {
-                let device = match &self.mode {
-                    CacheMode::SerializedOverflow { device, .. }
-                    | CacheMode::Adaptive { device, .. } => device,
-                    _ => unreachable!("off-heap slot without a device"),
-                };
                 let mut bytes = vec![0u8; len];
-                device
+                self.offheap_device()
                     .read(offset, &mut bytes, Category::Io)
                     .expect("off-heap cache read failed");
                 self.sd_deserializations += 1;
@@ -275,6 +246,40 @@ impl BlockManager {
                 Ok(Some(h))
             }
         }
+    }
+
+    /// The device behind the serialized off-heap cache.
+    fn offheap_device(&self) -> &SimDevice {
+        match &self.mode {
+            CacheMode::SerializedOverflow { device, .. }
+            | CacheMode::Adaptive { device, .. } => device,
+            _ => unreachable!("off-heap cache without a device"),
+        }
+    }
+
+    /// The serialized off-heap spill shared by Spark-SD overflow and the
+    /// adaptive serialized tier: serializes `partition`, writes it at the
+    /// device cursor, releases the on-heap copy and records the off-heap
+    /// slot. Returns the serialized bytes and the S/D ns serializing cost.
+    fn spill(
+        &mut self,
+        heap: &mut Heap,
+        id: BlockId,
+        partition: Handle,
+    ) -> Result<(u64, u64), OomError> {
+        let before = heap.clock().category_ns(Category::SerDe);
+        let bytes = kryo_sim::serialize(heap, partition)?;
+        let serde_ns = heap.clock().category_ns(Category::SerDe) - before;
+        let offset = self.device_cursor;
+        self.device_cursor += bytes.len();
+        self.offheap_device()
+            .write(offset, &bytes, Category::Io)
+            .expect("off-heap cache device full");
+        heap.release(partition);
+        heap.clock().emit(EventKind::BlockSerde { deser: false, bytes: bytes.len() as u64 });
+        self.slots.insert(id, Slot::OffHeap { offset, len: bytes.len() });
+        self.sd_serializations += 1;
+        Ok((bytes.len() as u64, serde_ns))
     }
 
     /// Whether the block is served from the on-heap (or H2) cache.

@@ -9,7 +9,8 @@
 #   2. the offline release build, the test suite, clippy or the benchmark's
 #      own tests fail,
 #   3. a required invariant suite did not run in full, or
-#   4. a committed figure CSV no longer regenerates bit-identically.
+#   4. a committed result no longer regenerates bit-identically, or no
+#      figure binary writes it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -136,29 +137,34 @@ for profile in nvme nvm dax; do
 done
 echo "ok"
 
-# Simulated-determinism guard: every committed figure CSV must regenerate
+# Simulated-determinism guard: every committed result must regenerate
 # bit-identically. Simulated time is a pure function of the cost model and
 # the deterministic workloads, so any diff here means a change quietly
-# altered experiment results. microbench.csv is excluded (it records real
-# wall-clock times). Skip with VERIFY_SKIP_RESULTS=1 for a quick check.
+# altered experiment results. Every figure binary (each
+# crates/bench/src/bin/*.rs except micro) regenerates into an emptied
+# results/, so a committed file that no binary writes shows up in the diff
+# too. microbench.csv is kept and not diffed (it records real wall-clock
+# times). The committed directory is restored on exit. Skip with
+# VERIFY_SKIP_RESULTS=1 for a quick check.
 if [[ "${VERIFY_SKIP_RESULTS:-0}" != "1" ]]; then
-    echo "== results determinism: regenerate and diff results/*.csv =="
+    echo "== results determinism: regenerate into an empty results/ and diff =="
     tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp" "$test_log"' EXIT
     cp -r results "$tmp/committed"
-    for bin in fig6_spark fig6_giraph fig7_timeline fig8_collectors \
-               fig9_hints fig10_regions fig11_gc_overhead fig12_nvm \
-               fig13_scaling fig13_gc_threads fig14_pause_cdf \
-               fig15_tenants fig16_placement fig17_query table5_metadata \
-               ablations; do
+    trap 'rm -rf results; mv "$tmp/committed" results; rm -rf "$tmp" "$test_log"' EXIT
+    find results -mindepth 1 ! -name microbench.csv -delete
+    for src in crates/bench/src/bin/*.rs; do
+        bin=$(basename "$src" .rs)
+        [[ "$bin" == micro ]] && continue
         echo "  regenerating: $bin"
         cargo run -q --release --offline -p teraheap-bench --bin "$bin" >/dev/null
     done
     if ! diff -rq -x microbench.csv "$tmp/committed" results; then
-        echo "ERROR: regenerated results differ from committed CSVs." >&2
+        echo "ERROR: regenerated results differ from the committed ones." >&2
         echo "Simulated time must be deterministic; if the change is an" >&2
-        echo "intentional cost-model/bug fix, re-commit the CSVs and say so" >&2
-        echo "in the PR (see crates/runtime/tests/gc_equivalence.rs)." >&2
+        echo "intentional cost-model/bug fix, rerun the affected binaries," >&2
+        echo "re-commit their results and say so in the PR (see" >&2
+        echo "crates/runtime/tests/gc_equivalence.rs). A file that is only in" >&2
+        echo "the committed results is written by no binary." >&2
         exit 1
     fi
     echo "ok"
