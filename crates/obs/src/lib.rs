@@ -9,8 +9,9 @@
 //! The recorder *observes* simulated time, it never advances it: emitting an
 //! event reads the clock that the caller already charged, so enabling or
 //! disabling tracing cannot change a single simulated nanosecond. That is the
-//! PR 2 determinism invariant and it is pinned by
-//! `crates/runtime/tests/trace_equivalence.rs`.
+//! PR 2 determinism invariant and it is pinned by the dormant-knob relation
+//! of the knob matrix, `crates/runtime/tests/gc_equivalence.rs`, which
+//! reruns every drawn cell at each level.
 //!
 //! Layers:
 //! - [`Event`] / [`EventKind`]: the typed taxonomy (GC begin/end with cause,

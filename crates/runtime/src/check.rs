@@ -25,6 +25,7 @@
 //! [`crate::heap::Heap::maybe_heap_check`] so enabled runs trip loudly at
 //! the first corrupted boundary instead of producing silently wrong results.
 
+use crate::gc::incremental::MajorCycle;
 use crate::heap::Heap;
 use crate::object;
 use std::collections::{HashMap, HashSet};
@@ -131,8 +132,11 @@ impl Heap {
     /// bits are legitimately set. Between the slices of an incremental
     /// major cycle the check adapts: before the flip the full walk runs
     /// with mark/candidate bits allowed (SATB marking legitimately leaves
-    /// them set between slices); during relocation only root resolution is
-    /// checked (objects are mid-motion and H2 promotion is mid-flight).
+    /// them set between slices), and during Plan it skips the references of
+    /// garbage awaiting relocation (the dead-region sweep has run) and
+    /// counts H2 space reserved for assigned candidates; during relocation
+    /// only root resolution is checked (objects are mid-motion and H2
+    /// promotion is mid-flight).
     ///
     /// # Errors
     ///
@@ -141,10 +145,10 @@ impl Heap {
         debug_assert!(!self.in_gc, "heap_check inside a collection");
         match self.incr.as_deref() {
             Some(cyc) if !cyc.pre_flip() => return self.heap_check_relocating(),
-            Some(_) => return self.heap_check_walk(true),
+            Some(cyc) => return self.heap_check_walk(Some(cyc)),
             None => {}
         }
-        self.heap_check_walk(false)
+        self.heap_check_walk(None)
     }
 
     /// On-demand invariant sweep for long-running harnesses.
@@ -197,7 +201,8 @@ impl Heap {
         Ok(report)
     }
 
-    fn heap_check_walk(&self, allow_gc_bits: bool) -> Result<CheckReport, CheckError> {
+    fn heap_check_walk(&self, cyc: Option<&MajorCycle>) -> Result<CheckReport, CheckError> {
+        let allow_gc_bits = cyc.is_some();
         let mut report = CheckReport::default();
         if self.to.used_words() != 0 {
             return Err(CheckError::SurvivorNotEmpty { words: self.to.used_words() });
@@ -236,6 +241,8 @@ impl Heap {
         }
 
         let mut h2set: HashSet<u64> = HashSet::new();
+        let reserved = cyc.map(|c| c.reserved_h2_words(self)).unwrap_or_default();
+        let reserved_in = |rid: u32| reserved.get(&rid).copied().unwrap_or(0);
         let mut rids: Vec<u32> = self.h2_starts.keys().copied().collect();
         rids.sort_unstable();
         if let Some(h2) = self.h2.as_ref() {
@@ -258,7 +265,7 @@ impl Heap {
                     expect = s + object::size_of(header) as u64;
                 }
                 let walked = (expect - base) as usize;
-                if walked != used {
+                if walked + reserved_in(rid) != used {
                     return Err(CheckError::RegionAccounting { region: rid, walked, recorded: used });
                 }
             }
@@ -266,7 +273,7 @@ impl Heap {
             // card scans would silently skip its objects.
             for rid in 0..h2.regions().region_count() as u32 {
                 let used = h2.regions().used_words(RegionId(rid));
-                if used > 0 && !self.h2_starts.contains_key(&rid) {
+                if used > reserved_in(rid) && !self.h2_starts.contains_key(&rid) {
                     return Err(CheckError::RegionAccounting { region: rid, walked: 0, recorded: used });
                 }
             }
@@ -276,6 +283,9 @@ impl Heap {
         let mut h1_sorted: Vec<u64> = h1.iter().copied().collect();
         h1_sorted.sort_unstable();
         for &a in &h1_sorted {
+            if cyc.is_some_and(|c| c.planned_garbage(a)) {
+                continue;
+            }
             let obj = Addr::new(a);
             let in_old = self.old.contains(obj);
             let (first_slot, end_slot) = self.ref_slot_range(obj);

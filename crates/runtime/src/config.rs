@@ -88,11 +88,10 @@ pub struct HeapConfig {
     /// collection: major GCs run stop-world, reproducing the committed
     /// figures bit-identically. A finite non-zero budget makes major
     /// collections run as bounded work-unit slices interleaved with the
-    /// mutator; it requires the ParallelScavenge variant. `u64::MAX` arms
-    /// the incremental machinery (write barrier, slice plumbing) but lets
-    /// every cycle complete in a single unbounded slice — by construction
-    /// equivalent to the stop-world collector, which `gc_equivalence.rs`
-    /// pins bit-for-bit.
+    /// mutator; it requires the ParallelScavenge variant. `u64::MAX` never
+    /// starts a cycle, so no slice runs and the write barrier never arms:
+    /// it behaves exactly like `0`, which `gc_equivalence.rs` pins
+    /// bit-for-bit.
     pub pause_budget_ns: u64,
     /// Mutator (executor) threads; frameworks divide their compute and S/D
     /// time by this (paper: 8, swept 4/8/16 in Figure 13a).
@@ -209,8 +208,8 @@ impl HeapConfig {
         // A finite slice budget needs the incremental engine, which is only
         // implemented for the ParallelScavenge cost model (G1 already models
         // concurrent marking through its discount; Panthera's split old gen
-        // is out of scope). `u64::MAX` runs single-slice cycles and is
-        // likewise PS-only. `0` (stop-world) is valid for every variant.
+        // is out of scope). `u64::MAX` never starts a cycle but is likewise
+        // PS-only. `0` (stop-world) is valid for every variant.
         if self.pause_budget_ns != 0 && self.variant != GcVariant::ParallelScavenge {
             return Err(ConfigError::IncrementalNeedsPs { pause_budget_ns: self.pause_budget_ns });
         }

@@ -346,6 +346,30 @@ impl MajorCycle {
         matches!(self.phase, IncrPhase::Plan)
     }
 
+    /// Between Plan slices, for the heap checker: whether the H1 object at
+    /// `a` is garbage awaiting relocation. The dead-region sweep has run,
+    /// so its stale references may name swept H2 regions.
+    pub(crate) fn planned_garbage(&self, a: u64) -> bool {
+        self.planning()
+            && self.old_live.binary_search(&a).is_err()
+            && self.young_live.binary_search(&a).is_err()
+            && self.plan_late.binary_search(&a).is_err()
+    }
+
+    /// Between Plan slices, for the heap checker: the H2 words each region
+    /// has reserved for candidates assigned but not yet copied.
+    pub(crate) fn reserved_h2_words(&self, heap: &Heap) -> HashMap<u32, usize> {
+        let mut reserved = HashMap::new();
+        let Some(h2) = heap.h2.as_ref().filter(|_| self.planning()) else { return reserved };
+        for &src in &self.move_order[..self.assign_idx] {
+            if let Some(dest) = self.forwarding.get(src).map(Addr::new).filter(|d| d.is_h2()) {
+                let words = object::size_of(heap.mem[src as usize]);
+                *reserved.entry(h2.regions().region_of(dest).0).or_insert(0) += words;
+            }
+        }
+        reserved
+    }
+
     /// Live objects in the frozen enumeration.
     fn live_count(&self) -> usize {
         self.old_live.len() + self.young_live.len()

@@ -27,7 +27,7 @@ impl MajorPhases {
 }
 
 /// Cumulative GC statistics kept by the heap.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GcStats {
     /// Number of minor collections.
     pub minor_count: u64,

@@ -352,3 +352,39 @@ fn chaos_smoke_nvm() {
 fn chaos_smoke_dax() {
     chaos_smoke(DeviceSpec::dram(), 0x5EED_0003);
 }
+
+/// The degraded (no-H2) mode really is the paper's no-H2 baseline: a heap
+/// degraded from the very first promotion behaves like one whose candidate
+/// selection never runs — objects stay in the old generation.
+#[test]
+fn degraded_mode_parks_promotions_in_old_gen() {
+    // ENOSPC immediately: the first region-open is denied.
+    let plan = FaultPlan::zero_rate(7).with_enospc_after(0);
+    let cfg = HeapConfig::builder(4 << 10, 32 << 10).build().unwrap();
+    let mut heap = Heap::new(cfg);
+    let h2cfg = h2_config(plan);
+    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
+    heap.attach_h2(h2cfg, &dev).unwrap();
+    let class = heap.register_class("Parked", 1, 1);
+    let root = heap.alloc_ref_array(16).unwrap();
+    for i in 0..16 {
+        let n = heap.alloc(class).unwrap();
+        heap.write_prim(n, 0, i as u64);
+        heap.write_ref(root, i, n);
+        heap.release(n);
+    }
+    heap.h2_tag_root(root, Label::new(1));
+    heap.h2_move(Label::new(1));
+    heap.gc_major().unwrap();
+    assert!(heap.h2().unwrap().is_degraded(), "ENOSPC at first open must degrade");
+    assert!(!heap.is_in_h2(root), "degraded promotion must park in H1");
+    assert_eq!(heap.h2().unwrap().objects_promoted(), 0);
+    // Parked objects stay fully usable and further GCs stay clean.
+    heap.gc_major().unwrap();
+    heap.heap_check().expect("degraded heap stays consistent");
+    for i in 0..16 {
+        let n = heap.read_ref(root, i).unwrap();
+        assert_eq!(heap.read_prim(n, 0), i as u64);
+        heap.release(n);
+    }
+}

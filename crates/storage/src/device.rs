@@ -184,10 +184,11 @@ impl SimDevice {
         if end > self.capacity {
             return Err(DeviceError::OutOfSpace);
         }
-        if let Some(plane) = self.plane.as_deref() {
-            let mult = plane.spike_multiplier();
-            self.clock
-                .charge(cat, self.spec.write_cost_ns(buf.len()).saturating_mul(mult));
+        let plane = self.plane.as_deref();
+        let mult = plane.map_or(1, FaultPlane::spike_multiplier);
+        self.clock
+            .charge(cat, self.spec.write_cost_ns(buf.len()).saturating_mul(mult));
+        if let Some(plane) = plane {
             let out = fault::inject(plane, &self.clock, cat, true);
             self.stats.record_retries(out.retries as u64);
             if !out.ok {
@@ -195,8 +196,6 @@ impl SimDevice {
                 // lands (the attempts' cost was already charged above).
                 return Err(DeviceError::Io);
             }
-        } else {
-            self.clock.charge(cat, self.spec.write_cost_ns(buf.len()));
         }
         let mut data = self.data.lock();
         if data.len() < end {
@@ -229,14 +228,13 @@ impl SimDevice {
             *b = data.get(offset + i).copied().unwrap_or(0);
         }
         drop(data);
-        if let Some(plane) = self.plane.as_deref() {
-            let mult = plane.spike_multiplier();
-            self.clock
-                .charge(cat, self.spec.read_cost_ns(buf.len()).saturating_mul(mult));
+        let plane = self.plane.as_deref();
+        let mult = plane.map_or(1, FaultPlane::spike_multiplier);
+        self.clock
+            .charge(cat, self.spec.read_cost_ns(buf.len()).saturating_mul(mult));
+        if let Some(plane) = plane {
             let out = fault::inject(plane, &self.clock, cat, false);
             self.stats.record_retries(out.retries as u64);
-        } else {
-            self.clock.charge(cat, self.spec.read_cost_ns(buf.len()));
         }
         let bytes = self.spec.access_bytes(buf.len()) as u64;
         self.stats.record_read(bytes);

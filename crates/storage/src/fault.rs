@@ -24,7 +24,8 @@
 //! **Determinism contract:** a disabled plan (`FaultPlan::none()`, the
 //! default) — and equally an *enabled* plan whose rates are all zero — adds
 //! zero simulated nanoseconds, zero charge calls and zero events. The
-//! `fault_equivalence` suite pins this.
+//! dormant-knob relation of the runtime's knob matrix (`gc_equivalence`)
+//! pins this.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

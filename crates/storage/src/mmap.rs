@@ -421,27 +421,18 @@ impl MmapSim {
         } else {
             self.spec.read_lat_ns
         };
-        match self.plane.as_deref() {
-            None => {
-                let service = transfer_ns + latency_ns;
-                self.arbitrate_scoped(service, scope);
-                scope.add(service);
-                scope.emit(&self.clock, EventKind::PageFault { sequential });
-            }
-            Some(plane) => {
-                // Armed plane: the page-in pays the spike multiplier and may
-                // roll a transient read error, retried with backoff charged
-                // to the touching category. Reads always eventually succeed
-                // (the kernel's own page-I/O retry loop), so the fault path
-                // stays total.
-                let mult = plane.spike_multiplier();
-                let service = (transfer_ns + latency_ns).saturating_mul(mult);
-                self.arbitrate_scoped(service, scope);
-                scope.add(service);
-                scope.emit(&self.clock, EventKind::PageFault { sequential });
-                let out = fault::inject_scoped(plane, &self.clock, scope, false);
-                self.stats.record_retries(out.retries as u64);
-            }
+        // An armed plane makes the page-in pay the spike multiplier and may
+        // roll a transient read error, retried with backoff charged to the
+        // touching category. Reads always eventually succeed (the kernel's
+        // own page-I/O retry loop), so the fault path stays total.
+        let mult = self.plane.as_deref().map_or(1, FaultPlane::spike_multiplier);
+        let service = (transfer_ns + latency_ns).saturating_mul(mult);
+        self.arbitrate_scoped(service, scope);
+        scope.add(service);
+        scope.emit(&self.clock, EventKind::PageFault { sequential });
+        if let Some(plane) = self.plane.as_deref() {
+            let out = fault::inject_scoped(plane, &self.clock, scope, false);
+            self.stats.record_retries(out.retries as u64);
         }
         self.resident.insert(page, PageEntry { stamp, dirty: write });
         self.lru.push(Reverse((stamp, page)));
@@ -474,28 +465,18 @@ impl MmapSim {
                     self.stats.record_eviction();
                     if dirty {
                         self.stats.record_write(self.page_size as u64);
-                        match self.plane.as_deref() {
-                            None => {
-                                let service = self.spec.write_cost_ns(self.page_size);
-                                self.arbitrate_scoped(service, scope);
-                                scope.add(service);
-                            }
-                            Some(plane) => {
-                                let mult = plane.spike_multiplier();
-                                let service = self
-                                    .spec
-                                    .write_cost_ns(self.page_size)
-                                    .saturating_mul(mult);
-                                self.arbitrate_scoped(service, scope);
-                                scope.add(service);
-                                // Transient write error on the eviction
-                                // write-back: the kernel keeps the page and
-                                // retries until it lands, so only the
-                                // backoff cost is observable here.
-                                let out =
-                                    fault::inject_scoped(plane, &self.clock, scope, true);
-                                self.stats.record_retries(out.retries as u64);
-                            }
+                        let mult =
+                            self.plane.as_deref().map_or(1, FaultPlane::spike_multiplier);
+                        let service = self.spec.write_cost_ns(self.page_size).saturating_mul(mult);
+                        self.arbitrate_scoped(service, scope);
+                        scope.add(service);
+                        if let Some(plane) = self.plane.as_deref() {
+                            // Transient write error on the eviction
+                            // write-back: the kernel keeps the page and
+                            // retries until it lands, so only the backoff
+                            // cost is observable here.
+                            let out = fault::inject_scoped(plane, &self.clock, scope, true);
+                            self.stats.record_retries(out.retries as u64);
                         }
                         if let Some(log) = &mut self.writeback_log {
                             log.push(page);
@@ -536,13 +517,8 @@ impl MmapSim {
         if dirty_pages > 0 {
             let bytes = dirty_pages * self.page_size as u64;
             self.stats.record_write(bytes);
-            let service = match self.plane.as_deref() {
-                None => self.spec.write_cost_ns(bytes as usize),
-                Some(plane) => self
-                    .spec
-                    .write_cost_ns(bytes as usize)
-                    .saturating_mul(plane.spike_multiplier()),
-            };
+            let mult = self.plane.as_deref().map_or(1, FaultPlane::spike_multiplier);
+            let service = self.spec.write_cost_ns(bytes as usize).saturating_mul(mult);
             self.arbitrate_direct(service, cat);
             self.clock.charge(cat, service);
             self.clock.emit(EventKind::WriteBack { bytes });

@@ -50,24 +50,20 @@ cargo build --release --offline --workspace
 # unit tests). Each must report at least one passed test and none filtered
 # out, so a skipped or filtered suite fails loudly.
 required_suites=(
-    # Flight recorder (DESIGN.md §8): tracing observes the clock and never
-    # advances it.
-    teraheap_runtime:trace_equivalence
+    # The knob matrix (DESIGN.md §8, §10–§12, §15): one program generator,
+    # one reference model and one golden table. Dormant knobs (tracing
+    # level, zero-rate fault plane, u64::MAX budget, host thread,
+    # TERAHEAP_BENCH_THREADS) leave the full report bit-identical;
+    # gc_threads reshapes time only; finite budgets reach the same heap;
+    # full-level event streams are well-nested.
+    teraheap_runtime:gc_equivalence
     # Bulk access plane (§9): touch_run is bit-identical to the
     # word-at-a-time loop — same ns, same counters, same events.
     teraheap_storage:bulk_equivalence
     # Fault plane (§10): crash-consistency sweep at every write-back
-    # boundary, recovery properties, zero-rate plane == no plane.
+    # boundary, recovery properties, degraded mode.
     teraheap_storage:crash_consistency
     teraheap_runtime:fault_recovery
-    teraheap_runtime:fault_equivalence
-    # Major collector (§11, §12): the serial, default, armed-idle,
-    # four-lane, G1, Panthera and sliced goldens; lane accounting
-    # deterministic across runs, lanes, variants and host parallelism;
-    # sliced cycles converge to the whole-pause heap.
-    teraheap_runtime:gc_equivalence
-    teraheap_runtime:lane_determinism
-    teraheap_runtime:incremental_marking
     # Shared devices (§13): the server plane and cross-tenant fault
     # isolation.
     teraheap_server:lib
@@ -75,11 +71,9 @@ required_suites=(
     # Adaptive placement (§14): lifetime-profile and cost-model properties.
     teraheap_core:properties
     mini_spark:placement_properties
-    # Query plane (§15): oracle properties, endurance churn, linked-idle
-    # golden.
+    # Query plane (§15): oracle properties, endurance churn.
     teraheap_query:query_properties
     teraheap_query:endurance
-    teraheap_query:gc_equivalence
 )
 
 echo "== offline tests =="
