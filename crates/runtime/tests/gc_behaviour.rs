@@ -8,19 +8,26 @@ fn small_heap() -> Heap {
     Heap::new(HeapConfig::with_words(2048, 8192))
 }
 
-fn th_heap() -> Heap {
-    let mut heap = Heap::new(HeapConfig::with_words(2048, 8192));
+/// Attaches an NVMe-backed H2 of `regions` regions of `region_words`
+/// words, `card_seg_words`-word card segments, and the given resident
+/// budget and promotion buffer in bytes.
+fn attach_h2(heap: &mut Heap, [regions, region_words, card_seg_words, budget, promo]: [usize; 5]) {
     let h2cfg = H2Config::builder()
-            .region_words(1024)
-            .n_regions(16)
-            .card_seg_words(128)
-            .resident_budget_bytes(64 << 10)
-            .page_size(4096)
-            .promo_buffer_bytes(8 << 10)
-            .build()
-            .expect("valid H2 config");
+        .region_words(region_words)
+        .n_regions(regions)
+        .card_seg_words(card_seg_words)
+        .resident_budget_bytes(budget)
+        .page_size(4096)
+        .promo_buffer_bytes(promo)
+        .build()
+        .expect("valid H2 config");
     let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), heap.clock().clone());
     heap.attach_h2(h2cfg, &dev).unwrap();
+}
+
+fn th_heap() -> Heap {
+    let mut heap = Heap::new(HeapConfig::with_words(2048, 8192));
+    attach_h2(&mut heap, [16, 1024, 128, 64 << 10, 8 << 10]);
     heap
 }
 
@@ -288,17 +295,7 @@ fn cross_region_dependencies_prevent_premature_reclaim() {
 fn pressure_moves_marked_objects_without_hint() {
     // High threshold forces movement when H1 fills past 85%.
     let mut h = Heap::new(HeapConfig::with_words(512, 2048));
-    let h2cfg = H2Config::builder()
-            .region_words(2048)
-            .n_regions(8)
-            .card_seg_words(256)
-            .resident_budget_bytes(64 << 10)
-            .page_size(4096)
-            .promo_buffer_bytes(8 << 10)
-            .build()
-            .expect("valid H2 config");
-    let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), h.clock().clone());
-    h.attach_h2(h2cfg, &dev).unwrap();
+    attach_h2(&mut h, [8, 2048, 256, 64 << 10, 8 << 10]);
     let big = h.register_class("Big", 0, 200);
     let mut held = Vec::new();
     for i in 0..9 {
@@ -391,17 +388,7 @@ fn barrier_overhead_zero_when_teraheap_disabled() {
     let run = |enable: bool| -> u64 {
         let mut h = small_heap();
         if enable {
-            let h2cfg = H2Config::builder()
-                    .region_words(1024)
-                    .n_regions(4)
-                    .card_seg_words(128)
-                    .resident_budget_bytes(4096)
-                    .page_size(4096)
-                    .promo_buffer_bytes(4096)
-                    .build()
-                    .expect("valid H2 config");
-            let dev = SharedDevice::new(DeviceSpec::nvme_ssd(), h2cfg.footprint_bytes(), h.clock().clone());
-            h.attach_h2(h2cfg, &dev).unwrap();
+            attach_h2(&mut h, [4, 1024, 128, 4096, 4096]);
         }
         let c = h.register_class("N", 1, 0);
         let a = h.alloc(c).unwrap();
